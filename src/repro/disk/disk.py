@@ -90,29 +90,6 @@ class Disk:
         #: non-resilient consumers are untouched.
         self.checksums = None
 
-    # Back-compatible views of the counters (these were plain attributes
-    # before the accounting moved into OpCounters).
-
-    @property
-    def reads(self) -> int:
-        return self.counters.reads
-
-    @property
-    def writes(self) -> int:
-        return self.counters.writes
-
-    @property
-    def sectors_read(self) -> int:
-        return self.counters.sectors_read
-
-    @property
-    def sectors_written(self) -> int:
-        return self.counters.sectors_written
-
-    @property
-    def busy_time(self) -> float:
-        return self.counters.busy_time
-
     # ------------------------------------------------------------------
     # Introspection used by the eager-writing machinery
     # ------------------------------------------------------------------

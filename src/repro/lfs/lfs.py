@@ -539,6 +539,9 @@ class LFS(FileSystem):
             return 2
         for key, _stale in sorted(meta_items, key=lambda kv: depth(kv[0][1])):
             code = key[1]
+            # Open the segment first: opening may run the cleaner, which
+            # re-points blocks in this very table.
+            self.writer.open_segment()
             current = self.cache.get(key)
             if current is None:
                 continue

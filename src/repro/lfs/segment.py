@@ -135,6 +135,22 @@ class SegmentWriter:
     def room(self) -> int:
         return self.layout.data_blocks_per_segment - len(self._staged)
 
+    def open_segment(self) -> None:
+        """Make sure a segment is open for the next :meth:`stage`.
+
+        Opening one may run the owner's cleaner, which re-points moved
+        blocks in cached indirect tables.  A caller staging a cached
+        table must therefore open the segment *before* reading the
+        table, or it stages the copy the cleaner has just superseded.
+        """
+        if self.current_segment is None:
+            chosen = self.pick_free_segment()
+            if self.current_segment is None:
+                # pick_free_segment may clean, which stages blocks and can
+                # open (and even retire) segments re-entrantly; only adopt
+                # our choice when no segment was opened underneath us.
+                self.current_segment = chosen
+
     def stage(
         self, kind: int, inum: int, fblk: int, data: bytes
     ) -> Tuple[int, Breakdown]:
@@ -145,13 +161,7 @@ class SegmentWriter:
         breakdown = Breakdown()
         if len(data) != self.layout.block_size:
             raise ValueError("staged blocks must be exactly one block")
-        if self.current_segment is None:
-            chosen = self.pick_free_segment()
-            if self.current_segment is None:
-                # pick_free_segment may clean, which stages blocks and can
-                # open (and even retire) segments re-entrantly; only adopt
-                # our choice when no segment was opened underneath us.
-                self.current_segment = chosen
+        self.open_segment()
         address = (
             self.layout.segment_start(self.current_segment)
             + 1

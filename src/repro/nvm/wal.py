@@ -90,15 +90,26 @@ class NVWalInjector:
         return self.appends_seen == self.crash_after_appends
 
 
+def _outcome_list(inner: Optional[object]) -> list:
+    """A backing store's recovery result as a list of outcomes: a
+    multi-shard volume returns one per shard, anything else one or
+    none."""
+    if isinstance(inner, list):
+        return inner
+    return [inner] if inner is not None else []
+
+
 @dataclass
 class NVRecoveryOutcome:
     """What a two-tier :meth:`NVWal.recover` did.
 
     ``inner`` carries the backing store's own
     :class:`~repro.vlog.recovery.RecoveryOutcome` (``None`` for a
-    backing device with no recovery machinery, e.g. a regular disk); the
+    backing device with no recovery machinery, e.g. a regular disk, and
+    a list of one outcome per shard for a multi-shard volume); the
     commonly-reported fields delegate to it so torture verdicts read the
-    same either way.
+    same either way.  Over shards, a flag holds if it holds on any shard
+    (``used_power_down_record``: on every shard) and counts add up.
     """
 
     #: Valid records found in the NVM log (the tier-1 commit point).
@@ -117,36 +128,42 @@ class NVRecoveryOutcome:
     def elapsed(self) -> float:
         return self.breakdown.total
 
-    def _inner_field(self, name: str, default):
-        return getattr(self.inner, name, default) if self.inner else default
+    def _any(self, name: str) -> bool:
+        return any(getattr(o, name, False) for o in _outcome_list(self.inner))
+
+    def _sum(self, name: str) -> int:
+        return sum(getattr(o, name, 0) for o in _outcome_list(self.inner))
 
     @property
     def used_power_down_record(self) -> bool:
-        return self._inner_field("used_power_down_record", False)
+        outcomes = _outcome_list(self.inner)
+        return bool(outcomes) and all(
+            getattr(o, "used_power_down_record", False) for o in outcomes
+        )
 
     @property
     def scanned(self) -> bool:
-        return self._inner_field("scanned", False)
+        return self._any("scanned")
 
     @property
     def degraded(self) -> bool:
-        return self._inner_field("degraded", False)
+        return self._any("degraded")
 
     @property
     def reconstructed(self) -> bool:
-        return self._inner_field("reconstructed", False)
+        return self._any("reconstructed")
 
     @property
     def records_read(self) -> int:
-        return self._inner_field("records_read", 0)
+        return self._sum("records_read")
 
     @property
     def media_errors(self) -> int:
-        return self._inner_field("media_errors", 0)
+        return self._sum("media_errors")
 
     @property
     def quarantined_sectors(self) -> int:
-        return self._inner_field("quarantined_sectors", 0)
+        return self._sum("quarantined_sectors")
 
 
 class NVWal(BlockDevice):
@@ -613,8 +630,8 @@ class NVWal(BlockDevice):
         inner_recover = getattr(self.inner, "recover", None)
         if inner_recover is not None:
             inner_outcome = inner_recover(timed)
-            if inner_outcome is not None:
-                total.add(inner_outcome.breakdown)
+            for outcome in _outcome_list(inner_outcome):
+                total.add(outcome.breakdown)
         replayed_blocks = len(self._dirty)
         replayed_trims = len(self._trimmed)
         total.add(self.destage_all())

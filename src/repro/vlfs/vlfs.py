@@ -87,6 +87,9 @@ class _EagerLogWriter:
         self.segments_written = 0
         self.blocks_written = 0
 
+    def open_segment(self) -> None:
+        pass  # no segments: every block is placed as it is staged
+
     def stage(
         self, kind: int, inum: int, fblk: int, data: bytes
     ) -> Tuple[int, Breakdown]:

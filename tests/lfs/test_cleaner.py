@@ -132,3 +132,44 @@ class TestCleaningMechanics:
         fs.idle(10.0)
         # Nothing worth cleaning: at most a couple of segments touched.
         assert fs.cleaner.segments_cleaned - cleaned_before <= 2
+
+
+class TestCleaningDuringFlush:
+    """A flush that stages a dirty indirect table can open a segment,
+    and opening one can run the cleaner, which re-points blocks in that
+    same table.  The table must be read after the segment is open, or
+    the superseded copy goes to the log and the newer one is dropped
+    as clean."""
+
+    @pytest.mark.parametrize("seed", [2, 3])
+    def test_overwrites_under_one_indirect_table_read_back(self, seed):
+        # One-cylinder disk, 32 KB segments and a 32-block cache: the
+        # cleaner runs on most segment opens, including mid-flush ones.
+        fs = LFS(
+            RegularDisk(Disk(ST19101, num_cylinders=1)), SPARCSTATION_10,
+            cache_bytes=32 * 4096, segment_bytes=32 << 10,
+        )
+        fs.create("/f")
+        rng = random.Random(seed)
+        expected = {}
+
+        def put(block):
+            expected[block] = rng.randrange(1, 1 << 30).to_bytes(4, "little")
+            fs.write("/f", block * 4096, expected[block] * 1024)
+
+        for block in range(300):
+            put(block)
+        for _ in range(200):
+            put(rng.randrange(300))
+            roll = rng.random()
+            if roll < 0.03:
+                fs.sync()
+                if roll >= 0.02:
+                    fs.drop_caches()
+        fs.sync()
+        fs.drop_caches()
+        wrong = [
+            block for block, tag in expected.items()
+            if fs.read("/f", block * 4096, 4096)[0][:4] != tag
+        ]
+        assert wrong == []

@@ -6,6 +6,7 @@ from repro.blockdev.interpose import DeviceCrashed
 from repro.blockdev.nvm import NVM_SPECS
 from repro.disk.disk import Disk
 from repro.disk.specs import ST19101
+from repro.harness.configs import build_sharded_volume
 from repro.nvm import NVWal, NVWalInjector
 from repro.sim.clock import SimClock
 from repro.vlog.vld import VirtualLogDisk
@@ -237,3 +238,24 @@ class TestTwoTierPowerDownDepth4:
         for lba, data in payloads.items():
             assert wal.read_block(lba)[0] == data
         assert not vlfsck(vld).violations
+
+
+class TestOverShardedVolume:
+    """A multi-shard volume recovers to one outcome per shard; the
+    two-tier outcome folds all of them in."""
+
+    def test_recover_over_three_shards(self):
+        volume = build_sharded_volume(shards=3)[0]
+        wal = NVWal(volume)
+        payloads = {lba: _blk(lba + 1) for lba in range(48)}
+        for lba, data in payloads.items():
+            wal.write_block(lba, data)
+        wal.crash()
+        outcome = wal.recover()
+        shards = outcome.inner
+        assert isinstance(shards, list) and len(shards) == 3
+        assert outcome.scanned == any(o.scanned for o in shards)
+        assert outcome.records_read == sum(o.records_read for o in shards)
+        assert outcome.elapsed + 1e-12 >= sum(o.elapsed for o in shards)
+        for lba, data in payloads.items():
+            assert wal.read_block(lba)[0] == data

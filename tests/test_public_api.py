@@ -1,5 +1,9 @@
 """The README's front-door code paths, kept honest."""
 
+import os
+import subprocess
+import sys
+
 import repro
 
 
@@ -40,6 +44,16 @@ class TestReadmeSnippets:
         ):
             module = importlib.import_module(module_info.name)
             assert module.__doc__, f"{module_info.name} lacks a docstring"
+
+    def test_importing_the_library_does_not_import_numpy(self):
+        # A fresh interpreter: this one may have numpy loaded already.
+        src = os.path.dirname(os.path.dirname(repro.__file__))
+        code = (
+            "import sys, repro, repro.harness.configs, repro.nvm; "
+            "sys.exit('numpy' in sys.modules)"
+        )
+        env = dict(os.environ, PYTHONPATH=src)
+        assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
 
 
 class TestCrossLayerSmoke:

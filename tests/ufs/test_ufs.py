@@ -213,14 +213,14 @@ class TestSyncSemantics:
         writes -- the premise of the whole paper."""
         breakdown = ufs.create("/sync-create")
         assert breakdown.locate > 0
-        assert ufs.device.disk.writes >= 2
+        assert ufs.device.disk.counters.writes >= 2
 
     def test_fsync_flushes_dirty_data(self, ufs):
         ufs.create("/f")
         ufs.write("/f", 0, b"q" * 4096, sync=False)
-        writes_before = ufs.device.disk.writes
+        writes_before = ufs.device.disk.counters.writes
         ufs.fsync("/f")
-        assert ufs.device.disk.writes > writes_before
+        assert ufs.device.disk.counters.writes > writes_before
 
     def test_sync_flushes_everything(self, ufs):
         ufs.create("/f")
@@ -262,11 +262,11 @@ class TestPrefetch:
         ufs.drop_caches()
         for i in range(8):
             ufs.read("/seq", i * 4096, 4096)
-        reads_after_8 = ufs.device.disk.reads
+        reads_after_8 = ufs.device.disk.counters.reads
         for i in range(8, 32):
             ufs.read("/seq", i * 4096, 4096)
         # Prefetch clusters mean far fewer than 24 extra disk commands.
-        assert ufs.device.disk.reads - reads_after_8 < 16
+        assert ufs.device.disk.counters.reads - reads_after_8 < 16
 
     def test_random_reads_do_not_prefetch_wildly(self, ufs):
         blob = bytes(4096) * 64
@@ -275,11 +275,11 @@ class TestPrefetch:
         ufs.sync()
         ufs.drop_caches()
         rng = random.Random(1)
-        sectors_before = ufs.device.disk.sectors_read
+        sectors_before = ufs.device.disk.counters.sectors_read
         for _ in range(10):
             ufs.read("/rand", rng.randrange(64) * 4096, 4096)
         # At most ~1 block per read plus metadata.
-        assert ufs.device.disk.sectors_read - sectors_before < 10 * 8 * 3
+        assert ufs.device.disk.counters.sectors_read - sectors_before < 10 * 8 * 3
 
 
 class TestOnVld:

@@ -42,9 +42,9 @@ def _run_workload(vld):
 def _clean_run_write_count() -> int:
     disk = Disk(ST19101, num_cylinders=2)
     vld = VirtualLogDisk(disk)
-    before = disk.writes
+    before = disk.counters.writes
     _run_workload(vld)
-    return disk.writes - before
+    return disk.counters.writes - before
 
 
 def _sweep_points():
