@@ -1134,7 +1134,6 @@ def build_device_stack(
     device_type: str = "regular",
     block_size: int = 4096,
     *,
-    options: Optional[InterposeOptions] = None,
     trace: bool = False,
     trace_capacity: int = 4096,
     trace_sink: Optional[object] = None,
@@ -1152,10 +1151,9 @@ def build_device_stack(
     both.  ``nvm`` threads an NVM write-ahead tier between the core and
     the interposers: pass ``True`` for the default NVDIMM spec, a part
     name from :data:`~repro.blockdev.nvm.NVM_SPECS`, or an
-    :class:`~repro.blockdev.nvm.NVMSpec`.  Interposers come from
-    ``options`` or, when that is omitted, from the individual keyword
-    flags.  This is the single entry point the harness, the examples,
-    and the file systems build stacks through.
+    :class:`~repro.blockdev.nvm.NVMSpec`.  The keyword flags pick the
+    interposers.  This is the single entry point the harness and the
+    examples build stacks through.
     """
     if device_factory is not None:
         device: BlockDevice = device_factory(
@@ -1180,12 +1178,10 @@ def build_device_stack(
         else:
             spec = NVM_SPECS[nvm]
         device = NVWal(device, spec=spec)
-    if options is None:
-        options = InterposeOptions(
-            trace=trace,
-            trace_capacity=trace_capacity,
-            trace_sink=trace_sink,
-            metrics=metrics,
-            faults=faults,
-        )
-    return wrap_device(device, options)
+    return wrap_device(device, InterposeOptions(
+        trace=trace,
+        trace_capacity=trace_capacity,
+        trace_sink=trace_sink,
+        metrics=metrics,
+        faults=faults,
+    ))

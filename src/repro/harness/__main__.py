@@ -3,11 +3,26 @@
 Regenerates the requested tables/figures (default: the quick set) and
 prints the paper-style rows.  ``--full`` uses paper-scale workloads.
 
-Interposer flags thread observability through every device stack the
-experiments build: ``--trace PATH`` appends one JSONL record per device
-operation, ``--metrics`` prints a per-stack op/latency summary after each
-experiment, and ``--faults SPEC`` injects deterministic device faults
-(``SPEC`` like ``crash_after=40,torn=0.05,seed=7``).
+Stack flags apply to every file-system stack the experiments build
+(figures 6-11 and Table 2).  ``main()`` gathers them into one
+:class:`~repro.harness.configs.StackOverrides` value and passes it to
+those figures, whose sweep points carry it in their parameters -- so it
+is part of every cache key and reaches every worker process:
+
+* ``--queue-depth N`` lets each core device keep ``N`` requests
+  outstanding in its internal scheduler, and ``--sched POLICY`` picks
+  the service order (``fifo``, ``scan``, ``elevator``, ``satf``).  The
+  defaults (depth 1, FIFO) reproduce the unscheduled baseline
+  byte-for-byte.
+* ``--nvm PART`` threads an NVM write-ahead tier in front of every
+  stack, with ``--nvm-lat``/``--nvm-cap`` overriding the part's store
+  latency and capacity.
+* ``--faults SPEC`` injects deterministic device faults (``SPEC`` like
+  ``crash_after=40,torn=0.05,seed=7``).
+* ``--metrics`` prints a per-stack op/latency summary after each
+  experiment, and ``--trace PATH`` appends one JSONL record per device
+  operation.  These two observe the stacks as they run, so they bypass
+  the result cache, and ``--trace`` also runs the points inline.
 
 Sweep flags control how each experiment's grid of independent points is
 executed: ``--jobs N`` fans the points out across ``N`` worker
@@ -16,13 +31,6 @@ point's result under a content-addressed key so re-running an unchanged
 figure is near-instant (any source edit invalidates transparently),
 ``--no-cache`` disables the cache, and ``--cache-stats`` prints
 hit/miss/submission counts after each experiment.
-
-Queue flags apply to every device stack the experiments build:
-``--queue-depth N`` lets each core device keep ``N`` requests
-outstanding in its internal scheduler, and ``--sched POLICY`` picks the
-service order (``fifo``, ``scan``, ``satf``).  The defaults (depth 1,
-FIFO) reproduce the unscheduled baseline byte-for-byte; anything else
-changes timings, so these flags force inline, uncached execution.
 
 Multi-host flags apply to ``figure_multihost`` (the event-engine
 scale-out sweep): ``--hosts N`` runs exactly ``N`` closed-loop host
@@ -45,7 +53,9 @@ oracle); ``--scrub`` prints a short flaky-media story showing retries,
 quarantine, and the idle-time scrubber migrating live data;
 ``--volume-demo`` prints a degraded-mode tour of the sharded volume
 (one shard crashes, healthy I/O keeps flowing, bounded retries, hedged
-reads against a limping shard, per-shard recovery).
+reads against a limping shard, per-shard recovery).  The torture
+matrices build their own stacks, so ``--torture`` rejects the stack
+flags.
 
 Examples::
 
@@ -55,6 +65,7 @@ Examples::
     python -m repro.harness --metrics table2
     python -m repro.harness --trace /tmp/ops.jsonl figure6
     python -m repro.harness --faults crash_after=500 figure6
+    python -m repro.harness --nvm nvdimm --jobs 2 table2
     python -m repro.harness --torture --jobs 2
     python -m repro.harness --scrub
     python -m repro.harness --list
@@ -66,9 +77,11 @@ import argparse
 import sys
 import time
 
-from repro.blockdev.interpose import DeviceCrashed, FaultPlan, InterposeOptions
-from repro.harness import configs, experiments, sweep
+from repro.blockdev.interpose import DeviceCrashed, FaultPlan
+from repro.blockdev.nvm import NVM_SPECS
+from repro.harness import experiments, sweep
 from repro.harness.cache import ResultCache
+from repro.harness.configs import StackOverrides
 from repro.harness.report import format_table
 from repro.sim.stats import COMPONENTS
 
@@ -112,6 +125,11 @@ _FULL = {
 _ALL = ["table1", "figure1", "figure2", "figure6", "figure7", "figure8",
         "table2", "figure9", "figure10", "figure11", "figure_qdepth",
         "figure_multihost", "figure_nvm"]
+
+#: The experiments that build file-system stacks, and so take the
+#: stack flags' overrides.
+_STACK_EXPERIMENTS = {"figure6", "figure7", "figure8", "table2", "figure9",
+                      "figure10", "figure11"}
 
 
 def _print_result(name: str, result) -> None:
@@ -271,6 +289,62 @@ def _print_result(name: str, result) -> None:
         print(result)
 
 
+def _check_args(parser: argparse.ArgumentParser, args) -> StackOverrides:
+    """Reject inconsistent flags with a usage error (exit 2), parse
+    ``--shard-slow`` in place, and gather the stack flags."""
+    if args.jobs < 1:
+        parser.error("--jobs must be >= 1")
+    if args.volume and not args.torture:
+        parser.error("--volume requires --torture")
+    if args.families is not None and not args.torture:
+        parser.error("--families requires --torture")
+    stack_flags = {
+        "--nvm": args.nvm, "--nvm-lat": args.nvm_lat,
+        "--nvm-cap": args.nvm_cap, "--queue-depth": args.queue_depth,
+        "--sched": args.sched, "--faults": args.faults,
+        "--metrics": args.metrics or None, "--trace": args.trace,
+    }
+    given = [flag for flag, value in stack_flags.items() if value is not None]
+    if args.torture and given:
+        parser.error(f"--torture does not take {', '.join(given)}: the "
+                     f"torture matrices build their own stacks")
+    if args.shards is not None and args.shards < 1:
+        parser.error("--shards must be >= 1")
+    if args.shard_slow is not None:
+        if args.shards is None:
+            parser.error("--shard-slow requires --shards")
+        try:
+            args.shard_slow = _parse_shard_slow(args.shard_slow)
+        except ValueError as exc:
+            parser.error(f"--shard-slow: {exc}")
+        if not 0 <= args.shard_slow["shard"] < args.shards:
+            parser.error(f"--shard-slow: shard must lie in "
+                         f"[0, {args.shards}) for --shards {args.shards}")
+    if args.hosts is not None and args.hosts < 1:
+        parser.error("--hosts must be >= 1")
+    if args.disks is not None and args.disks < 1:
+        parser.error("--disks must be >= 1")
+    if (args.nvm_lat is not None or args.nvm_cap is not None) \
+            and args.nvm is None:
+        parser.error("--nvm-lat/--nvm-cap require --nvm")
+    if args.queue_depth is not None and args.queue_depth < 1:
+        parser.error("--queue-depth must be >= 1")
+    try:
+        faults = FaultPlan.parse(args.faults) if args.faults else None
+    except ValueError as exc:
+        parser.error(f"--faults: {exc}")
+    return StackOverrides(
+        queue_depth=args.queue_depth or 1,
+        sched=args.sched or "fifo",
+        nvm=NVM_SPECS[args.nvm].with_overrides(
+            store_latency=args.nvm_lat, capacity_bytes=args.nvm_cap
+        ) if args.nvm else None,
+        trace=args.trace,
+        metrics=args.metrics,
+        faults=faults,
+    )
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
         prog="python -m repro.harness",
@@ -318,13 +392,13 @@ def main(argv=None) -> int:
                              "(default: 1, the unscheduled baseline)")
     parser.add_argument("--sched", default=None, metavar="POLICY",
                         choices=("fifo", "scan", "elevator", "satf"),
-                        help="request scheduling policy: fifo, scan, satf "
-                             "(default: fifo)")
-    parser.add_argument("--nvm", nargs="?", const="nvdimm", default=None,
-                        metavar="PART",
+                        help="request scheduling policy: fifo, scan, "
+                             "elevator, satf (default: fifo)")
+    parser.add_argument("--nvm", default=None, metavar="PART",
+                        choices=sorted(NVM_SPECS),
                         help="thread an NVM write-ahead tier into every "
                              "device stack (PART: nvdimm, battery-sram, "
-                             "slow-pcm; default nvdimm)")
+                             "slow-pcm)")
     parser.add_argument("--nvm-lat", type=float, default=None,
                         metavar="SECONDS",
                         help="override the NVM store latency (requires "
@@ -349,105 +423,42 @@ def main(argv=None) -> int:
     parser.add_argument("--volume-demo", action="store_true",
                         help="print a sharded-volume degraded-mode demo")
     args = parser.parse_args(argv)
+    overrides = _check_args(parser, args)
 
     if args.list:
         print("\n".join(_ALL))
         return 0
-    if args.jobs < 1:
-        parser.error("--jobs must be >= 1")
     if args.scrub:
         return _run_scrub_demo()
     if args.volume_demo:
         return _run_volume_demo()
-    if args.volume and not args.torture:
-        parser.error("--volume requires --torture")
-    if args.shards is not None and args.shards < 1:
-        parser.error("--shards must be >= 1")
-    if args.shard_slow is not None and args.shards is None:
-        parser.error("--shard-slow requires --shards")
-    if (args.nvm_lat is not None or args.nvm_cap is not None) \
-            and args.nvm is None:
-        parser.error("--nvm-lat/--nvm-cap require --nvm")
-    if args.families is not None and not args.torture:
-        parser.error("--families requires --torture")
-    if args.nvm is not None:
-        from repro.blockdev.nvm import NVM_SPECS
-
-        if args.nvm not in NVM_SPECS:
-            parser.error(f"--nvm: unknown part {args.nvm!r}; known: "
-                         + ", ".join(sorted(NVM_SPECS)))
-        spec = NVM_SPECS[args.nvm].with_overrides(
-            store_latency=args.nvm_lat, capacity_bytes=args.nvm_cap
-        )
-        configs.set_default_nvm(spec)
-        # The NVM default is process-global state the cache key and the
-        # worker processes do not see -- run inline and uncached.
-        if args.jobs > 1:
-            print("[sweep: --nvm forces --jobs 1]", file=sys.stderr)
-            args.jobs = 1
-        if not args.no_cache:
-            print("[sweep: --nvm disables the result cache]",
-                  file=sys.stderr)
-            args.no_cache = True
-    if args.queue_depth is not None or args.sched is not None:
-        depth = args.queue_depth if args.queue_depth is not None else 1
-        if depth < 1:
-            parser.error("--queue-depth must be >= 1")
-        configs.set_default_queue((depth, args.sched or "fifo"))
-        # The queue default is process-global state the cache key and the
-        # worker processes do not see -- run inline and uncached.
-        if args.jobs > 1:
-            print("[sweep: --queue-depth/--sched force --jobs 1]",
-                  file=sys.stderr)
-            args.jobs = 1
-        if not args.no_cache:
-            print("[sweep: queue flags disable the result cache]",
-                  file=sys.stderr)
-            args.no_cache = True
+    jobs = args.jobs
+    cache = None if args.no_cache else ResultCache(args.cache)
     if args.torture:
-        cache = None if args.no_cache else ResultCache(args.cache)
-        with sweep.configured(jobs=args.jobs, cache=cache):
+        with sweep.configured(jobs=jobs, cache=cache):
             status = _run_torture(args)
         _report_sweep_stats(args, "torture")
         return status
-    if args.trace or args.metrics or args.faults:
-        try:
-            faults = FaultPlan.parse(args.faults) if args.faults else None
-        except ValueError as exc:
-            parser.error(f"--faults: {exc}")
-        configs.set_default_interpose(InterposeOptions(
-            trace=bool(args.trace),
-            trace_sink=args.trace,
-            metrics=args.metrics,
-            faults=faults,
-        ))
-        # Per-process observability (trace files, the metrics registry)
-        # does not survive the worker boundary, and injected faults make
-        # results configuration-dependent in ways the cache key does not
-        # see -- fall back to inline, uncached execution.
-        if args.jobs > 1:
-            print("[sweep: --trace/--metrics/--faults force --jobs 1]",
-                  file=sys.stderr)
-            args.jobs = 1
-        if not args.no_cache:
-            print("[sweep: interposer flags disable the result cache]",
-                  file=sys.stderr)
-            args.no_cache = True
-    if args.hosts is not None and args.hosts < 1:
-        parser.error("--hosts must be >= 1")
-    if args.disks is not None and args.disks < 1:
-        parser.error("--disks must be >= 1")
-    cache = None if args.no_cache else ResultCache(args.cache)
+    if overrides.trace or overrides.metrics:
+        # A point replayed from the cache builds no stack, so there would
+        # be nothing to observe.  And worker processes appending to one
+        # JSONL trace file interleave partial lines, so --trace runs the
+        # points inline.
+        cache = None
+        if overrides.trace:
+            jobs = 1
     names = args.names or _ALL
-    overrides = _FULL if args.full else _QUICK
-    with sweep.configured(jobs=args.jobs, cache=cache):
+    sizes = _FULL if args.full else _QUICK
+    with sweep.configured(jobs=jobs, cache=cache):
         for name in names:
             if name not in _ALL:
                 print(f"unknown experiment {name!r}; try --list",
                       file=sys.stderr)
                 return 2
             fn = getattr(experiments, name)
-            kwargs = dict(overrides.get(name, {}))
+            kwargs = dict(sizes.get(name, {}))
+            if name in _STACK_EXPERIMENTS:
+                kwargs["overrides"] = overrides
             if name == "figure_nvm":
                 if args.nvm is not None:
                     kwargs["nvm_part"] = args.nvm
@@ -463,25 +474,23 @@ def main(argv=None) -> int:
                 if args.shards is not None:
                     kwargs["shards"] = args.shards
                     if args.shard_slow is not None:
-                        try:
-                            kwargs["shard_slow"] = _parse_shard_slow(
-                                args.shard_slow
-                            )
-                        except ValueError as exc:
-                            parser.error(f"--shard-slow: {exc}")
+                        kwargs["shard_slow"] = args.shard_slow
             start = time.time()
             try:
                 result = fn(**kwargs)
             except DeviceCrashed as crash:
                 print(f"[{name} aborted: injected device crash: {crash}]\n",
                       file=sys.stderr)
-                _report_metrics(args)
                 return 3
+            metrics = result.pop("metrics", [])
             _print_result(name, result)
             print(f"[{name} regenerated in "
                   f"{time.time() - start:.1f}s wall]\n")
             _report_sweep_stats(args, name)
-            _report_metrics(args)
+            for stack_name, summary in metrics:
+                print(f"  [metrics {stack_name}] {summary}")
+            if metrics:
+                print()
     return 0
 
 
@@ -761,17 +770,6 @@ def _report_sweep_stats(args, name: str) -> None:
     stats = sweep.reset_stats()
     if args.cache_stats and stats.points:
         print(f"  [sweep {name}] {stats.summary()}\n")
-
-
-def _report_metrics(args) -> None:
-    """Print and clear the metrics of every stack built so far."""
-    stacks = configs.drain_metrics_stacks()
-    if not args.metrics:
-        return
-    for stack_name, metrics in stacks:
-        print(f"  [metrics {stack_name}] {metrics.summary()}")
-    if stacks:
-        print()
 
 
 if __name__ == "__main__":

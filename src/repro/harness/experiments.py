@@ -8,22 +8,37 @@ file counts / update counts proportionally (used by the test suite).
 
 Each experiment's grid is declared as a list of
 :class:`~repro.harness.sweep.SweepPoint` -- a pure, picklable spec naming
-a module-level point function below (``_point_*`` / ``_figure8_point``)
+a module-level point function below (``_point_*`` / ``_stack_point``)
 -- and executed by :func:`~repro.harness.sweep.run_sweep`, which fans the
 points out across worker processes (``--jobs``) and memoizes each one in
 the content-addressed result cache (``--cache``).  Point functions derive
 all randomness from their explicit ``seed`` argument, so results are
 identical at any parallelism and on cache replay.
+
+The figures that build file-system stacks (6, 7, 8, 9, 10, 11 and Table
+2) take an ``overrides`` :class:`~repro.harness.configs.StackOverrides`
+and carry its JSON form in every point's parameters, so the harness
+CLI's stack flags are part of each cache key and reach the worker
+processes.  With ``overrides.metrics`` set, such a figure's result also
+carries a ``"metrics"`` list of ``[stack name, summary]`` pairs, one per
+stack built, in point order.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Any, Dict, List, Optional, Sequence
+from dataclasses import asdict
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from repro.blockdev.interpose import MetricsDevice, find_layer
 from repro.disk.specs import DISKS, HP97560, ST19101
-from repro.harness.configs import STACKS, StackConfig, build_stack, utilization_of
+from repro.harness.configs import (
+    STACKS,
+    StackConfig,
+    StackOverrides,
+    build_stack,
+    utilization_of,
+)
 from repro.harness.runner import (
     simulate_locate_free,
     simulate_queued_workload,
@@ -178,15 +193,78 @@ def figure2(
 
 
 # ======================================================================
+# Stack points: every figure that builds a file-system stack
+# ======================================================================
+
+def _stack_point(
+    *,
+    seed: int,
+    body: str,
+    config: Dict[str, Any],
+    overrides: Dict[str, Any],
+    **params: Any,
+) -> Dict[str, Any]:
+    """Build ``config`` under the harness's ``overrides`` (both in JSON
+    form) and run the workload function ``body`` names on it.
+
+    Returns the workload's value and, when the overrides ask for
+    metrics, the stack's ``[name, summary]`` -- computed here, in
+    whichever process ran the point.
+    """
+    stack = StackOverrides.from_params(overrides).apply(StackConfig(**config))
+    fs, _disk, device = build_stack(stack)
+    value = globals()[body](fs, device, stack, seed=seed, **params)
+    metrics = (
+        [[stack.name, find_layer(device, MetricsDevice).summary()]]
+        if overrides["metrics"] else []
+    )
+    return {"value": value, "metrics": metrics}
+
+
+def _stack_sweep_point(
+    body: str,
+    config: StackConfig,
+    overrides: StackOverrides,
+    seed: int = 0,
+    **params: Any,
+) -> SweepPoint:
+    """The point that runs ``body`` on ``config`` under ``overrides``."""
+    return SweepPoint(
+        f"{_HERE}:_stack_point",
+        {
+            "body": body,
+            "config": asdict(config),
+            "overrides": overrides.to_params(),
+            **params,
+        },
+        seed,
+    )
+
+
+def _stack_values(
+    points: Sequence[SweepPoint],
+) -> Tuple[List[Any], List[List[str]]]:
+    """Sweep stack points: their values, and their metrics summaries."""
+    outcomes = sweep_values(points)
+    return (
+        [outcome["value"] for outcome in outcomes],
+        [pair for outcome in outcomes for pair in outcome["metrics"]],
+    )
+
+
+def _with_metrics(result: Dict[str, Any], metrics: List[List[str]]):
+    """``result``, carrying the metrics summaries when there are any."""
+    if metrics:
+        result["metrics"] = metrics
+    return result
+
+
+# ======================================================================
 # Figure 6: small-file create/read/delete
 # ======================================================================
 
-def _point_smallfile(
-    *, seed: int, stack: str, disk_name: str, host_name: str, num_files: int
-) -> Dict[str, float]:
+def _smallfile(fs, device, config, *, seed: int, num_files: int):
     del seed  # the small-file workload is deterministic
-    config = STACKS[stack].with_platform(disk_name, host_name)
-    fs, _disk, _device = build_stack(config)
     outcome = run_small_file(fs, num_files=num_files)
     return {
         "create": outcome.create_seconds,
@@ -199,22 +277,21 @@ def figure6(
     num_files: int = 1500,
     disk_name: str = "st19101",
     host_name: str = "sparc10",
-) -> Dict[str, Dict[str, float]]:
+    overrides: StackOverrides = StackOverrides(),
+) -> Dict[str, Any]:
     """Per-stack phase times, plus normalisation to UFS-on-regular."""
     stacks = list(STACKS)
     points = [
-        SweepPoint(
-            f"{_HERE}:_point_smallfile",
-            {
-                "stack": name,
-                "disk_name": disk_name,
-                "host_name": host_name,
-                "num_files": num_files,
-            },
+        _stack_sweep_point(
+            "_smallfile",
+            STACKS[name].with_platform(disk_name, host_name),
+            overrides,
+            num_files=num_files,
         )
         for name in stacks
     ]
-    raw = dict(zip(stacks, sweep_values(points)))
+    values, metrics = _stack_values(points)
+    raw = dict(zip(stacks, values))
     baseline = raw["ufs-regular"]
     normalized = {
         name: {
@@ -223,18 +300,14 @@ def figure6(
         }
         for name, phases in raw.items()
     }
-    return {"seconds": raw, "normalized": normalized}
+    return _with_metrics({"seconds": raw, "normalized": normalized}, metrics)
 
 
 # ======================================================================
 # Figure 7: large-file bandwidths
 # ======================================================================
 
-def _point_largefile(
-    *, seed: int, stack: str, disk_name: str, host_name: str, file_mb: float
-) -> Dict[str, float]:
-    config = STACKS[stack].with_platform(disk_name, host_name)
-    fs, _disk, _device = build_stack(config)
+def _largefile(fs, device, config, *, seed: int, file_mb: float):
     outcome = run_large_file(
         fs,
         file_bytes=int(file_mb * _MB),
@@ -248,50 +321,36 @@ def figure7(
     file_mb: float = 10.0,
     disk_name: str = "st19101",
     host_name: str = "sparc10",
-) -> Dict[str, Dict[str, float]]:
+    overrides: StackOverrides = StackOverrides(),
+) -> Dict[str, Any]:
     """Per-stack bandwidths for the six large-file phases (MB/s)."""
     stacks = list(STACKS)
     points = [
-        SweepPoint(
-            f"{_HERE}:_point_largefile",
-            {
-                "stack": name,
-                "disk_name": disk_name,
-                "host_name": host_name,
-                "file_mb": file_mb,
-            },
+        _stack_sweep_point(
+            "_largefile",
+            STACKS[name].with_platform(disk_name, host_name),
+            overrides,
             _LARGEFILE_SEED,
+            file_mb=file_mb,
         )
         for name in stacks
     ]
-    return dict(zip(stacks, sweep_values(points)))
+    values, metrics = _stack_values(points)
+    return _with_metrics(dict(zip(stacks, values)), metrics)
 
 
 # ======================================================================
 # Figure 8: random synchronous updates vs disk utilization
 # ======================================================================
 
-def _figure8_point(
-    *,
-    seed: int,
-    name: str,
-    fs_type: str,
-    device_type: str,
-    disk_name: str,
-    host_name: str,
-    nvram: bool,
-    file_mb: float,
-    updates: int,
+def _random_updates(
+    fs, device, config, *, seed: int, file_mb: float, updates: int,
     warmup: int,
 ) -> Optional[List[float]]:
     """One (system, file size) point: ``[utilization, latency]``, or
     ``None`` when the file does not fit (the caller warns and drops)."""
     from repro.fs.api import NoSpace
 
-    config = StackConfig(
-        name, fs_type, device_type, disk_name, host_name, nvram=nvram
-    )
-    fs, _disk, device = build_stack(config)
     file_bytes = int(file_mb * _MB)
     try:
         prepare_file(fs, "/target", file_bytes)
@@ -311,7 +370,8 @@ def figure8(
     lfs_warmup: int = 2000,
     disk_name: str = "st19101",
     host_name: str = "sparc10",
-) -> Dict[str, Dict[str, List[float]]]:
+    overrides: StackOverrides = StackOverrides(),
+) -> Dict[str, Any]:
     """Latency-vs-utilization curves for the three Figure 8 systems.
 
     The LFS-with-NVRAM runs need enough updates to overflow the 6.1 MB
@@ -333,26 +393,21 @@ def figure8(
         ),
     }
     points = []
-    for name, config in systems.items():
+    for config in systems.values():
         lfs = config.fs_type == "lfs"
         for file_mb in file_mbs:
-            points.append(SweepPoint(
-                f"{_HERE}:_figure8_point",
-                {
-                    "name": name,
-                    "fs_type": config.fs_type,
-                    "device_type": config.device_type,
-                    "disk_name": disk_name,
-                    "host_name": host_name,
-                    "nvram": config.nvram,
-                    "file_mb": file_mb,
-                    "updates": lfs_updates if lfs else updates,
-                    "warmup": lfs_warmup if lfs else warmup,
-                },
+            points.append(_stack_sweep_point(
+                "_random_updates",
+                config,
+                overrides,
                 _UPDATE_SEED,
+                file_mb=file_mb,
+                updates=lfs_updates if lfs else updates,
+                warmup=lfs_warmup if lfs else warmup,
             ))
-    values = iter(sweep_values(points))
-    result: Dict[str, Dict[str, List[float]]] = {}
+    all_values, metrics = _stack_values(points)
+    values = iter(all_values)
+    result: Dict[str, Any] = {}
     for name in systems:
         utilizations: List[float] = []
         latencies: List[float] = []
@@ -370,7 +425,7 @@ def figure8(
             "utilization": utilizations,
             "latency_ms": [v * 1e3 for v in latencies],
         }
-    return result
+    return _with_metrics(result, metrics)
 
 
 # ======================================================================
@@ -384,20 +439,8 @@ PLATFORMS = (
 )
 
 
-def _point_table2(
-    *,
-    seed: int,
-    disk_name: str,
-    host_name: str,
-    device_type: str,
-    utilization: float,
-    updates: int,
-    warmup: int,
-    compact_seconds: float,
-    from_metrics: bool,
-) -> Dict[str, Any]:
-    """One (platform, device) cell: mean latency plus the component
-    fractions backing Figure 9."""
+def _file_bytes(disk_name: str, utilization: float) -> int:
+    """The file that fills ``utilization`` of the simulated disk."""
     spec = DISKS[disk_name]
     capacity = (
         spec.sim_cylinders
@@ -405,12 +448,16 @@ def _point_table2(
         * spec.sectors_per_track
         * spec.sector_bytes
     )
-    file_bytes = int(utilization * capacity)
-    config = StackConfig(
-        f"ufs-{device_type}", "ufs", device_type, disk_name,
-        host_name, metrics=from_metrics,
-    )
-    fs, _disk, device = build_stack(config)
+    return int(utilization * capacity)
+
+
+def _table2_cell(
+    fs, device, config, *, seed: int, utilization: float, updates: int,
+    warmup: int, compact_seconds: float,
+) -> Dict[str, Any]:
+    """One (platform, device) cell: mean latency plus the component
+    fractions backing Figure 9."""
+    file_bytes = _file_bytes(config.disk_name, utilization)
     metrics = find_layer(device, MetricsDevice)
     prepare_file(fs, "/target", file_bytes)
     # Footnote 1 of the paper: "The VLD latency in this case is
@@ -438,7 +485,8 @@ def table2(
     warmup: int = 100,
     compact_seconds: float = 20.0,
     from_metrics: bool = True,
-) -> Dict[str, Dict[str, float]]:
+    overrides: StackOverrides = StackOverrides(),
+) -> Dict[str, Any]:
     """Update-in-place vs virtual-log gap across platforms (Table 2),
     with the Figure 9 component breakdowns of the same runs.
 
@@ -450,25 +498,25 @@ def table2(
     than from the per-call breakdowns the workload accumulates.
     """
     points = [
-        SweepPoint(
-            f"{_HERE}:_point_table2",
-            {
-                "disk_name": disk_name,
-                "host_name": host_name,
-                "device_type": device_type,
-                "utilization": utilization,
-                "updates": updates,
-                "warmup": warmup,
-                "compact_seconds": compact_seconds,
-                "from_metrics": from_metrics,
-            },
+        _stack_sweep_point(
+            "_table2_cell",
+            StackConfig(
+                f"ufs-{device_type}", "ufs", device_type, disk_name,
+                host_name, metrics=from_metrics,
+            ),
+            overrides,
             _UPDATE_SEED,
+            utilization=utilization,
+            updates=updates,
+            warmup=warmup,
+            compact_seconds=compact_seconds,
         )
         for disk_name, host_name in PLATFORMS
         for device_type in ("regular", "vld")
     ]
-    values = iter(sweep_values(points))
-    result: Dict[str, Dict[str, float]] = {}
+    all_values, metrics = _stack_values(points)
+    values = iter(all_values)
+    result: Dict[str, Any] = {}
     for disk_name, host_name in PLATFORMS:
         cells = {
             device_type: next(values)
@@ -485,15 +533,19 @@ def table2(
                     cells[device_type]["fractions"][component]
                 )
         result[f"{disk_name}+{host_name}"] = entry
-    return result
+    return _with_metrics(result, metrics)
 
 
 def figure9(
-    utilization: float = 0.8, updates: int = 300, warmup: int = 100
-) -> Dict[str, Dict[str, float]]:
+    utilization: float = 0.8,
+    updates: int = 300,
+    warmup: int = 100,
+    overrides: StackOverrides = StackOverrides(),
+) -> Dict[str, Any]:
     """Latency breakdowns (same runs as Table 2, reshaped per Figure 9)."""
-    table = table2(utilization, updates, warmup)
-    result: Dict[str, Dict[str, float]] = {}
+    table = table2(utilization, updates, warmup, overrides=overrides)
+    metrics = table.pop("metrics", [])
+    result: Dict[str, Any] = {}
     for platform, entry in table.items():
         for device in ("regular", "vld"):
             key = f"{platform}/{device}"
@@ -504,7 +556,7 @@ def figure9(
             result[key]["total_ms"] = entry[
                 "update_in_place_ms" if device == "regular" else "virtual_log_ms"
             ]
-    return result
+    return _with_metrics(result, metrics)
 
 
 # ======================================================================
@@ -518,7 +570,8 @@ def figure10(
     bursts: int = 6,
     disk_name: str = "st19101",
     host_name: str = "sparc10",
-) -> Dict[str, Dict[str, List[float]]]:
+    overrides: StackOverrides = StackOverrides(),
+) -> Dict[str, Any]:
     """LFS (with NVRAM) latency vs idle-interval length (Figure 10)."""
     if burst_kbs is None:
         burst_kbs = [128, 256, 504, 1008, 2016, 4032]
@@ -529,7 +582,7 @@ def figure10(
         nvram=True,
     )
     return _idle_sweep(
-        config, burst_kbs, idle_seconds, utilization, bursts
+        config, burst_kbs, idle_seconds, utilization, bursts, overrides
     )
 
 
@@ -540,7 +593,8 @@ def figure11(
     bursts: int = 6,
     disk_name: str = "st19101",
     host_name: str = "sparc10",
-) -> Dict[str, Dict[str, List[float]]]:
+    overrides: StackOverrides = StackOverrides(),
+) -> Dict[str, Any]:
     """UFS on the VLD latency vs idle-interval length (Figure 11)."""
     if burst_kbs is None:
         burst_kbs = [128, 256, 512, 1024, 2048, 4096]
@@ -550,36 +604,15 @@ def figure11(
         "ufs-vld", "ufs", "vld", disk_name, host_name
     )
     return _idle_sweep(
-        config, burst_kbs, idle_seconds, utilization, bursts
+        config, burst_kbs, idle_seconds, utilization, bursts, overrides
     )
 
 
-def _point_idle_burst(
-    *,
-    seed: int,
-    name: str,
-    fs_type: str,
-    device_type: str,
-    disk_name: str,
-    host_name: str,
-    nvram: bool,
-    utilization: float,
-    burst_kb: int,
-    idle: float,
-    bursts: int,
+def _idle_burst(
+    fs, device, config, *, seed: int, utilization: float, burst_kb: int,
+    idle: float, bursts: int,
 ) -> float:
-    spec = DISKS[disk_name]
-    capacity = (
-        spec.sim_cylinders
-        * spec.tracks_per_cylinder
-        * spec.sectors_per_track
-        * spec.sector_bytes
-    )
-    file_bytes = int(utilization * capacity)
-    config = StackConfig(
-        name, fs_type, device_type, disk_name, host_name, nvram=nvram
-    )
-    fs, _disk, _device = build_stack(config)
+    file_bytes = _file_bytes(config.disk_name, utilization)
     prepare_file(fs, "/target", file_bytes)
     recorder = run_bursts(
         fs,
@@ -599,36 +632,32 @@ def _idle_sweep(
     idle_seconds: Sequence[float],
     utilization: float,
     bursts: int,
-) -> Dict[str, Dict[str, List[float]]]:
+    overrides: StackOverrides,
+) -> Dict[str, Any]:
     points = [
-        SweepPoint(
-            f"{_HERE}:_point_idle_burst",
-            {
-                "name": config.name,
-                "fs_type": config.fs_type,
-                "device_type": config.device_type,
-                "disk_name": config.disk_name,
-                "host_name": config.host_name,
-                "nvram": config.nvram,
-                "utilization": utilization,
-                "burst_kb": burst_kb,
-                "idle": idle,
-                "bursts": bursts,
-            },
+        _stack_sweep_point(
+            "_idle_burst",
+            config,
+            overrides,
             _BURST_SEED,
+            utilization=utilization,
+            burst_kb=burst_kb,
+            idle=idle,
+            bursts=bursts,
         )
         for burst_kb in burst_kbs
         for idle in idle_seconds
     ]
-    values = iter(sweep_values(points))
-    result: Dict[str, Dict[str, List[float]]] = {}
+    all_values, metrics = _stack_values(points)
+    values = iter(all_values)
+    result: Dict[str, Any] = {}
     for burst_kb in burst_kbs:
         latencies = [next(values) for _ in idle_seconds]
         result[f"{burst_kb}K"] = {
             "idle_seconds": list(idle_seconds),
             "latency_ms": [v * 1e3 for v in latencies],
         }
-    return result
+    return _with_metrics(result, metrics)
 
 
 # ======================================================================

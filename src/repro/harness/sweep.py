@@ -30,9 +30,15 @@ state -- so that the same :class:`SweepPoint` yields the same value in
 any process.  The test suite pins this by comparing ``jobs=4`` against
 ``jobs=1`` for every experiment.
 
+A point's ``params`` are also its whole configuration: the figures that
+build stacks carry the CLI's
+:class:`~repro.harness.configs.StackOverrides` there in JSON form, so
+the stack flags are hashed into the cache key and pickled to the
+workers like any other parameter.
+
 The process-wide defaults (:func:`set_default_jobs`,
-:func:`set_default_cache`) mirror the interposer defaults in
-:mod:`repro.harness.configs`: the CLI sets them once and every
+:func:`set_default_cache`) say only *how* points run, never what they
+compute: the CLI sets them once (:func:`configured`) and every
 experiment picks them up without new parameters.
 """
 

@@ -19,12 +19,9 @@ block device, and a file system can be remounted from the device image.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Dict, Iterable, List, Optional, Set, Tuple
+from typing import Dict, Iterable, List, Optional, Set, Tuple
 
 from repro.blockdev.interface import BlockDevice
-
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard
-    from repro.blockdev.interpose import InterposeOptions
 from repro.fs.api import (
     DirectoryNotEmpty,
     FileExists,
@@ -59,12 +56,7 @@ class UFS(FileSystem):
         blocks_per_group: int = 0,
         inodes_per_group: int = 0,
         format_device: bool = True,
-        interpose: Optional["InterposeOptions"] = None,
     ) -> None:
-        if interpose is not None:
-            from repro.blockdev.interpose import wrap_device
-
-            device = wrap_device(device, interpose)
         self.device = device
         self.host = host
         self.clock = device.disk.clock  # both device types carry .disk

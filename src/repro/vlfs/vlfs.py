@@ -22,12 +22,9 @@ while internal block I/O pays mechanics only.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Dict, List, Optional, Set, Tuple
+from typing import Dict, List, Optional, Set, Tuple
 
 from repro.blockdev.regular import RegularDisk
-
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard
-    from repro.blockdev.interpose import InterposeOptions
 from repro.disk.disk import Disk
 from repro.disk.freemap import FreeSpaceMap
 from repro.fs.api import NoSpace
@@ -126,20 +123,12 @@ class VLFS(LFS):
         map_record_bytes: int = 512,
         fill_threshold: float = 0.75,
         host_factor: float = 1.0,
-        interpose: Optional["InterposeOptions"] = None,
     ) -> None:
         # NOTE: deliberately does not call LFS.__init__ -- the segment
         # machinery it builds is replaced wholesale.  Every attribute the
         # inherited methods use is established here.
         self.disk = disk
         self.device = _InternalDevice(disk)
-        if interpose is not None:
-            # VLFS runs *on the drive*, so the interposers wrap its
-            # internal device: they observe the drive-internal block
-            # traffic rather than host-issued commands.
-            from repro.blockdev.interpose import wrap_device
-
-            self.device = wrap_device(self.device, interpose)
         self.host = host
         self.host_factor = host_factor
         self.clock = disk.clock

@@ -475,9 +475,7 @@ class TestWrapDeviceAndFactory:
     def test_layer_order_fault_innermost_trace_outermost(self, disk):
         device = build_device_stack(
             disk, "regular",
-            options=InterposeOptions(
-                trace=True, metrics=True, faults=FaultPlan(seed=1)
-            ),
+            trace=True, metrics=True, faults=FaultPlan(seed=1),
         )
         kinds = [type(layer) for layer in layers(device)]
         assert kinds == [

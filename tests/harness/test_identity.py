@@ -151,10 +151,8 @@ def test_nvm_disabled_builds_no_wal_layer():
     quick figure set is checked by CI regenerating the harness output;
     this pins the structural half locally.)"""
     from repro.blockdev.interpose import build_device_stack
-    from repro.harness import configs
+    from repro.harness.configs import STACKS, StackOverrides, build_stack
     from repro.nvm import NVWal
-
-    assert configs.default_nvm() is None  # no process-global override
 
     def layers(device):
         seen = []
@@ -166,6 +164,14 @@ def test_nvm_disabled_builds_no_wal_layer():
     disk = Disk(DISKS["st19101"], num_cylinders=4)
     stack = build_device_stack(disk, "vld")
     assert not any(isinstance(layer, NVWal) for layer in layers(stack))
+    # The harness path: a run without stack flags applies the default
+    # overrides, which must leave the config -- and so the stack -- alone.
+    config = STACKS["ufs-vld"]
+    assert StackOverrides().apply(config) == config
+    _fs, _disk, harness_stack = build_stack(StackOverrides().apply(config))
+    assert not any(
+        isinstance(layer, NVWal) for layer in layers(harness_stack)
+    )
 
     # ... and the assertion has teeth: asking for the tier produces it.
     disk2 = Disk(DISKS["st19101"], num_cylinders=4)

@@ -11,8 +11,10 @@ import json
 
 import pytest
 
+from repro.blockdev.nvm import NVM_SPECS
 from repro.harness import experiments, sweep
 from repro.harness.cache import ResultCache
+from repro.harness.configs import StackOverrides
 from repro.harness.sweep import (
     DroppedPointWarning,
     SweepPoint,
@@ -71,6 +73,41 @@ def test_parallel_and_cached_runs_match_serial(name, tmp_path):
     assert warm.submissions == 0
     assert warm.inline_runs == 0
     assert warm.cache_hits == warm.points == cold.points
+
+
+@pytest.mark.parametrize("name", ["figure6", "table2", "figure10"])
+def test_overrides_parallel_matches_serial(name):
+    """Stack overrides reach the worker processes: jobs=2 == jobs=1,
+    metrics summaries included."""
+    fn = getattr(experiments, name)
+    overrides = StackOverrides(
+        queue_depth=4, sched="satf", nvm=NVM_SPECS["nvdimm"], metrics=True
+    )
+    with sweep.configured(jobs=1, cache=None):
+        serial = fn(**EXPERIMENTS[name], overrides=overrides)
+    with sweep.configured(jobs=2, cache=None):
+        parallel = fn(**EXPERIMENTS[name], overrides=overrides)
+    assert canon(parallel) == canon(serial)
+    assert serial["metrics"] and all(
+        summary.startswith("ops[") for _name, summary in serial["metrics"]
+    )
+
+
+def test_cache_keys_carry_the_overrides(tmp_path):
+    """A cache warmed without overrides serves none of the same figure's
+    points under an NVM override, and the override's own rerun hits."""
+    cache = ResultCache(str(tmp_path))
+    nvm = StackOverrides(nvm=NVM_SPECS["nvdimm"])
+    with sweep.configured(jobs=1, cache=cache):
+        plain = experiments.figure6(**EXPERIMENTS["figure6"])
+        sweep.reset_stats()
+        with_nvm = experiments.figure6(**EXPERIMENTS["figure6"], overrides=nvm)
+        cold = sweep.reset_stats()
+        experiments.figure6(**EXPERIMENTS["figure6"], overrides=nvm)
+        warm = sweep.reset_stats()
+    assert cold.cache_hits == 0 and cold.points == 4
+    assert warm.cache_hits == warm.points == 4
+    assert canon(with_nvm) != canon(plain)
 
 
 def test_figure8_warns_on_dropped_points():

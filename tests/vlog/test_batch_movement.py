@@ -14,6 +14,7 @@ consumes.
 """
 
 import random
+from dataclasses import asdict
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -289,31 +290,34 @@ class TestFigureScalarsIdentical:
     def test_fig6_smallfile_point(self, monkeypatch):
         """The Figure 6 small-file point on the vld stack is byte-equal
         (plain ==, no tolerance) under batched and scalar movement."""
-        from repro.harness.experiments import _point_smallfile
+        from repro.harness.configs import STACKS, StackOverrides
+        from repro.harness.experiments import _stack_point
 
         kwargs = dict(
-            seed=3, stack="ufs-vld", disk_name="st19101",
-            host_name="sparc10", num_files=80,
+            seed=3, body="_smallfile", config=asdict(STACKS["ufs-vld"]),
+            overrides=StackOverrides().to_params(), num_files=80,
         )
-        batched = _point_smallfile(**kwargs)
+        batched = _stack_point(**kwargs)
         _force_scalar_movement(monkeypatch)
-        scalar = _point_smallfile(**kwargs)
+        scalar = _stack_point(**kwargs)
         assert batched == scalar
 
     def test_table2_vld_cell(self, monkeypatch):
         """The Table 2 vld cell (latency + component fractions, the
         Figure 9 inputs) is byte-equal under batched and scalar
         movement."""
-        from repro.harness.experiments import _point_table2
+        from repro.harness.configs import StackConfig, StackOverrides
+        from repro.harness.experiments import _stack_point
 
         kwargs = dict(
-            seed=11, disk_name="st19101", host_name="sparc10",
-            device_type="vld", utilization=0.4, updates=60, warmup=20,
-            compact_seconds=2.0, from_metrics=True,
+            seed=11, body="_table2_cell",
+            config=asdict(StackConfig("ufs-vld", "ufs", "vld", metrics=True)),
+            overrides=StackOverrides().to_params(), utilization=0.4,
+            updates=60, warmup=20, compact_seconds=2.0,
         )
-        batched = _point_table2(**kwargs)
+        batched = _stack_point(**kwargs)
         _force_scalar_movement(monkeypatch)
-        scalar = _point_table2(**kwargs)
+        scalar = _stack_point(**kwargs)
         assert batched == scalar
 
 
