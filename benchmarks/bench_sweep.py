@@ -46,6 +46,11 @@ from repro.harness import sweep
 from repro.harness.cache import ResultCache
 from repro.harness.sweep import SweepPoint
 
+if __package__:
+    from .bench_hotpath import environment_warnings
+else:  # run as a script, so benchmarks/ is sys.path[0]
+    from bench_hotpath import environment_warnings
+
 #: Bump when the metric set or workload shapes change incompatibly.
 SCHEMA = 1
 
@@ -223,6 +228,8 @@ def main(argv=None) -> int:
     if args.check:
         with open(args.check) as fh:
             baseline = json.load(fh)
+        for warning in environment_warnings(result, baseline):
+            print(f"PERF WARNING: {warning}", file=sys.stderr)
         failures = compare_to_baseline(result, baseline, args.tolerance)
         if failures:
             for failure in failures:

@@ -1,6 +1,10 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.lfs.nvram import FileCache
+
+from .scan_file_cache import FileCache as ScanFileCache
 
 
 @pytest.fixture
@@ -98,3 +102,71 @@ class TestCrashSemantics:
     def test_paper_capacity(self):
         cache = FileCache()  # defaults: 6.1 MB of 4 KB blocks
         assert cache.capacity_blocks == int(6.1 * 2**20) // 4096
+
+
+class TestEvictionOrder:
+    @pytest.mark.parametrize("insert", ["put_clean", "put_dirty"])
+    def test_overflowed_cache_evicts_oldest_clean_first(self, insert):
+        """put_dirty may overflow the cache; once some of those blocks are
+        flushed, the next insert evicts exactly the oldest clean ones."""
+        cache = FileCache(capacity_bytes=4 * 4096, block_size=4096)
+        for i in range(6):
+            cache.put_dirty((1, i), bytes([i]))
+        assert cache.total_blocks == 6 and cache.dirty_blocks == 6
+        for i in (5, 1, 4, 3):
+            cache.mark_clean((1, i))
+        assert cache.dirty_blocks == 2
+        getattr(cache, insert)((2, 0), b"new")
+        # Three victims make room: clean (1, 1), (1, 3) and (1, 4) are the
+        # oldest; clean (1, 5) and the dirty (1, 0) and (1, 2) stay.
+        assert list(cache) == [(1, 0), (1, 2), (1, 5), (2, 0)]
+        assert cache.dirty_blocks == 2 + (insert == "put_dirty")
+
+
+_INODES = (1, 2, 3)
+_keys = st.tuples(st.sampled_from(_INODES), st.integers(0, 5))
+_ops = st.one_of(
+    st.tuples(st.just("get"), _keys),
+    st.tuples(st.just("put_clean"), _keys),
+    st.tuples(st.just("put_dirty"), _keys),
+    st.tuples(st.just("mark_clean"), _keys),
+    st.tuples(st.just("forget"), _keys),
+    st.tuples(st.just("forget_inode"), st.sampled_from(_INODES)),
+    st.tuples(st.just("drop_clean")),
+    st.tuples(st.just("crash")),
+)
+
+
+def _observe(cache):
+    return {
+        "keys": list(cache),
+        "dirty_blocks": cache.dirty_blocks,
+        "total_blocks": cache.total_blocks,
+        "full": cache.full,
+        "would_overflow": [
+            cache.would_overflow(k) for k in range(cache.capacity_blocks + 2)
+        ],
+        "dirty_items": cache.dirty_items(),
+        "dirty_items_for": [cache.dirty_items_for(i) for i in _INODES],
+        "hits": cache.hits,
+        "misses": cache.misses,
+    }
+
+
+class TestScanOracle:
+    """The counter-based cache against the scan-based one it replaced."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        capacity=st.integers(2, 16),
+        nvram=st.booleans(),
+        ops=st.lists(_ops, max_size=80),
+    )
+    def test_random_ops_match_scan_oracle(self, capacity, nvram, ops):
+        fast = FileCache(capacity * 4096, 4096, nvram=nvram)
+        slow = ScanFileCache(capacity * 4096, 4096, nvram=nvram)
+        for step, (name, *args) in enumerate(ops):
+            if name.startswith("put_"):
+                args.append(step.to_bytes(2, "little"))
+            assert getattr(fast, name)(*args) == getattr(slow, name)(*args)
+            assert _observe(fast) == _observe(slow), (step, name, args)
