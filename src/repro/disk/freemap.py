@@ -36,12 +36,12 @@ from repro.disk.geometry import DiskGeometry
 try:  # int.bit_count is Python >= 3.10; keep the 3.9 floor working.
     (0).bit_count
 
-    def _popcount(x: int) -> int:
+    def popcount(x: int) -> int:
         return x.bit_count()
 
 except AttributeError:  # pragma: no cover - exercised only on 3.9
 
-    def _popcount(x: int) -> int:
+    def popcount(x: int) -> int:
         return bin(x).count("1")
 
 
@@ -79,13 +79,14 @@ def nearest_set_bit(mask: int, n: int, phase: int) -> Optional[int]:
 _ALIGN_MASKS: dict = {}
 
 
-def _aligned_starts_mask(n: int, align: int) -> int:
+def aligned_starts_mask(n: int, align: int) -> int:
+    """Bits ``0, align, 2*align, ...`` below ``n`` (cached per shape)."""
     key = (n, align)
     mask = _ALIGN_MASKS.get(key)
     if mask is None:
-        mask = 0
-        for s in range(0, n, align):
-            mask |= 1 << s
+        # Geometric series: sum of 2**(align*i) for i < ceil(n / align).
+        starts = -(-n // align)
+        mask = ((1 << (align * starts)) - 1) // ((1 << align) - 1)
         _ALIGN_MASKS[key] = mask
     return mask
 
@@ -195,7 +196,7 @@ class FreeSpaceMap:
             old = self._masks[track]
             new = (old | segment) if free else (old & ~segment)
             if new != old:
-                delta = _popcount(new ^ old)
+                delta = popcount(new ^ old)
                 if not free:
                     delta = -delta
                 self._masks[track] = new
@@ -219,7 +220,7 @@ class FreeSpaceMap:
             old = self._masks[track]
             new = (old | segment) if free else (old & ~segment)
             if new != old:
-                delta = _popcount(new ^ old)
+                delta = popcount(new ^ old)
                 if not free:
                     delta = -delta
                 self._masks[track] = new
@@ -318,7 +319,7 @@ class FreeSpaceMap:
         ``count`` sectors starts (no wrap past the end of the track)."""
         starts = fold_free_runs(self._masks[track_idx], count)
         if align > 1 and starts:
-            starts &= _aligned_starts_mask(self._n, align)
+            starts &= aligned_starts_mask(self._n, align)
         return starts
 
     def nearest_free_run(
@@ -375,7 +376,7 @@ class FreeSpaceMap:
             if align > 1 and mask:
                 amask = _ALIGN_MASKS.get((n, align))
                 if amask is None:
-                    amask = _aligned_starts_mask(n, align)
+                    amask = aligned_starts_mask(n, align)
                 mask &= amask
             # Rotate the start set into angle space; the memo stores the
             # rotated form so a hit skips the whole pipeline.
@@ -490,7 +491,7 @@ class FreeSpaceMap:
         bases = self._bases
         memo = self._run_memo
         full = self._track_full_mask
-        amask = _aligned_starts_mask(n, align) if align > 1 else 0
+        amask = aligned_starts_mask(n, align) if align > 1 else 0
         # Only two query slots exist across the sweep -- the current
         # track's and the penalised one every other track shares -- so
         # the slot -> phase reduction is hoisted out of the head loop.

@@ -1,8 +1,21 @@
-"""Allocation bitmaps (inodes, fragments) for the UFS cylinder groups."""
+"""Allocation bitmaps (inodes, fragments) for the UFS cylinder groups.
+
+Each bitmap is one int, bit ``i`` set = item ``i`` in use (the byte order
+:meth:`Bitmap.pack` writes); its queries run on the disk free map's
+integer-mask primitives instead of looping over bits.
+"""
 
 from __future__ import annotations
 
 from typing import Optional
+
+from repro.disk.freemap import (
+    aligned_starts_mask,
+    fold_free_runs,
+    lowest_set_bit,
+    nearest_set_bit,
+    popcount,
+)
 
 
 class Bitmap:
@@ -12,49 +25,51 @@ class Bitmap:
         if nbits <= 0:
             raise ValueError("bitmap must cover at least one bit")
         self.nbits = nbits
-        nbytes = (nbits + 7) // 8
+        self._nbytes = (nbits + 7) // 8
+        self._full = (1 << nbits) - 1
         if raw is None:
-            self._bits = bytearray(nbytes)
+            self._used = 0
         else:
-            if len(raw) < nbytes:
+            if len(raw) < self._nbytes:
                 raise ValueError("raw bitmap too short")
-            self._bits = bytearray(raw[:nbytes])
-        self._free = sum(1 for i in range(nbits) if not self.test(i))
+            # Pad bits past ``nbits`` are kept so pack() returns them.
+            self._used = int.from_bytes(raw[: self._nbytes], "little")
+        self._free = nbits - popcount(self._used & self._full)
 
-    def _check(self, index: int) -> None:
-        if not 0 <= index < self.nbits:
-            raise IndexError(f"bit {index} out of range")
+    def _run(self, index: int, count: int) -> int:
+        if count <= 0:
+            raise ValueError("count must be positive")
+        if not 0 <= index <= self.nbits - count:
+            raise IndexError(f"bits {index}..{index + count - 1} out of range")
+        return ((1 << count) - 1) << index
 
     def test(self, index: int) -> bool:
-        self._check(index)
-        return bool(self._bits[index >> 3] & (1 << (index & 7)))
+        if not 0 <= index < self.nbits:
+            raise IndexError(f"bit {index} out of range")
+        return bool((self._used >> index) & 1)
 
-    def set(self, index: int) -> None:
-        self._check(index)
-        if not self.test(index):
-            self._bits[index >> 3] |= 1 << (index & 7)
-            self._free -= 1
+    def set(self, index: int, count: int = 1) -> None:
+        """Mark ``index .. index+count-1`` in use."""
+        run = self._run(index, count)
+        self._free -= popcount(run & ~self._used)
+        self._used |= run
 
-    def clear(self, index: int) -> None:
-        self._check(index)
-        if self.test(index):
-            self._bits[index >> 3] &= ~(1 << (index & 7)) & 0xFF
-            self._free += 1
+    def clear(self, index: int, count: int = 1) -> None:
+        """Mark ``index .. index+count-1`` free."""
+        run = self._run(index, count)
+        self._free += popcount(run & self._used)
+        self._used &= ~run
 
     @property
     def free_count(self) -> int:
         return self._free
 
+    def _free_mask(self) -> int:
+        return ~self._used & self._full
+
     def find_free(self, goal: int = 0) -> Optional[int]:
         """First free bit at/after ``goal``, wrapping; None when full."""
-        if self._free == 0:
-            return None
-        goal = goal % self.nbits
-        for offset in range(self.nbits):
-            index = (goal + offset) % self.nbits
-            if not self.test(index):
-                return index
-        return None
+        return nearest_set_bit(self._free_mask(), self.nbits, goal % self.nbits)
 
     def find_free_run(
         self, count: int, align: int = 1, goal: int = 0
@@ -64,52 +79,34 @@ class Bitmap:
             raise ValueError("count and align must be positive")
         if self._free < count:
             return None
-        start = (goal // align) * align
-        positions = list(range(start, self.nbits - count + 1, align))
-        positions += list(range(0, min(start, self.nbits - count + 1), align))
-        for index in positions:
-            if all(not self.test(index + k) for k in range(count)):
-                return index
-        return None
+        starts = fold_free_runs(self._free_mask(), count)
+        starts &= aligned_starts_mask(self.nbits, align)
+        return nearest_set_bit(starts, self.nbits, (goal // align) * align)
 
-    def find_frag_run(
-        self, count: int, frags_per_block: int, goal: int = 0
-    ) -> Optional[int]:
+    def find_frag_run(self, count: int, frags_per_block: int) -> Optional[int]:
         """A run of ``count`` free bits that stays inside one block's frags.
 
         Prefers blocks that are already partially used (classic FFS keeps
         fragments together so whole blocks stay allocatable), falling back
-        to carving a fresh block.
+        to carving a fresh block.  Trailing bits past the last whole block
+        are never used.
         """
-        if not 0 < count <= frags_per_block:
+        fpb = frags_per_block
+        if not 0 < count <= fpb:
             raise ValueError("fragment run must fit within one block")
         if self._free < count:
             return None
-        nblocks = self.nbits // frags_per_block
-        start_block = (goal // frags_per_block) % max(nblocks, 1)
-        fresh: Optional[int] = None
-        for offset in range(nblocks):
-            block = (start_block + offset) % nblocks
-            base = block * frags_per_block
-            used = sum(
-                1 for k in range(frags_per_block) if self.test(base + k)
-            )
-            run = self._run_in_block(base, frags_per_block, count)
-            if run is None:
-                continue
-            if used > 0:
-                return run  # partially-used block: best choice
-            if fresh is None:
-                fresh = run
-        return fresh
-
-    def _run_in_block(
-        self, base: int, frags_per_block: int, count: int
-    ) -> Optional[int]:
-        for start in range(frags_per_block - count + 1):
-            if all(not self.test(base + start + k) for k in range(count)):
-                return base + start
-        return None
+        span = (self.nbits // fpb) * fpb
+        free = self._free_mask() & ((1 << span) - 1)
+        block_starts = aligned_starts_mask(span, fpb)
+        # Starts whose run ends inside the block: offsets 0 .. fpb-count.
+        starts = fold_free_runs(free, count)
+        starts &= block_starts * ((1 << (fpb - count + 1)) - 1)
+        if not starts:
+            return None
+        fresh = fold_free_runs(free, fpb) & block_starts
+        partial = starts & ~(fresh * ((1 << fpb) - 1))
+        return lowest_set_bit(partial or starts)
 
     def pack(self) -> bytes:
-        return bytes(self._bits)
+        return self._used.to_bytes(self._nbytes, "little")

@@ -25,7 +25,9 @@ GOLDEN = Path(__file__).resolve().parents[1] / "golden"
 _WALL_LINE = re.compile(r"^\[\w+ regenerated in [0-9.]+s wall\]\n", re.M)
 
 
-@pytest.mark.parametrize("name", ["figure8", "figure10"])
+@pytest.mark.parametrize(
+    "name", ["figure6", "figure8", "figure10", "figure11", "table2"]
+)
 def test_quick_figure_matches_golden(name, capsys):
     assert cli.main(["--no-cache", name]) == 0
     produced = _WALL_LINE.sub("", capsys.readouterr().out)

@@ -9,6 +9,7 @@ model.
 
 import math
 
+import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
@@ -84,21 +85,34 @@ def test_compactor_model_positive_and_finite(n, m):
 
 @given(
     ops=st.lists(
-        st.tuples(st.booleans(), st.integers(min_value=0, max_value=127)),
+        st.tuples(
+            st.booleans(),
+            st.integers(min_value=-4, max_value=131),
+            st.integers(min_value=1, max_value=9),
+        ),
         max_size=200,
     )
 )
 @_SETTINGS
 def test_bitmap_free_count_matches_contents(ops):
+    """Run sets/clears keep the count exact; a run reaching outside the
+    map raises IndexError and changes nothing."""
     bitmap = Bitmap(128)
     reference = set()
-    for is_set, index in ops:
+    for is_set, index, count in ops:
+        op = bitmap.set if is_set else bitmap.clear
+        if index < 0 or index + count > 128:
+            before = (bitmap.free_count, bitmap.pack())
+            with pytest.raises(IndexError):
+                op(index, count)
+            assert (bitmap.free_count, bitmap.pack()) == before
+            continue
+        op(index, count)
+        run = set(range(index, index + count))
         if is_set:
-            bitmap.set(index)
-            reference.add(index)
+            reference |= run
         else:
-            bitmap.clear(index)
-            reference.discard(index)
+            reference -= run
     assert bitmap.free_count == 128 - len(reference)
     for index in range(128):
         assert bitmap.test(index) == (index in reference)

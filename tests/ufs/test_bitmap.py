@@ -1,6 +1,10 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.ufs.bitmap import Bitmap
+
+from .byte_bitmap import Bitmap as ByteBitmap
 
 
 class TestBasics:
@@ -33,6 +37,22 @@ class TestBasics:
             bitmap.test(10)
         with pytest.raises(IndexError):
             bitmap.set(-1)
+        bitmap.set(4)
+        packed = bitmap.pack()
+        for op, index, count in (
+            (bitmap.set, 8, 3),  # crosses nbits
+            (bitmap.clear, 9, 2),
+            (bitmap.set, 10, 1),  # starts at nbits
+            (bitmap.clear, -1, 2),  # starts below 0
+            (bitmap.set, -3, 5),
+            (bitmap.clear, 0, 11),  # longer than the map
+        ):
+            with pytest.raises(IndexError):
+                op(index, count)
+            assert bitmap.free_count == 9
+            assert bitmap.pack() == packed
+        with pytest.raises(ValueError):
+            bitmap.set(0, 0)
 
     def test_pack_load_roundtrip(self):
         bitmap = Bitmap(77)
@@ -110,3 +130,67 @@ class TestFragRun:
     def test_run_too_big_rejected(self):
         with pytest.raises(ValueError):
             Bitmap(16).find_frag_run(5, 4)
+
+
+@st.composite
+def _bitmap_case(draw):
+    """A bitmap shape, optional raw contents and a random op sequence.
+
+    ``nbits`` is often not a multiple of 8 or of ``frags_per_block``, raw
+    input may be longer than needed and carry nonzero pad bits, and goals
+    reach past ``nbits``."""
+    nbits = draw(st.integers(1, 80))
+    fpb = draw(st.integers(1, 8))
+    nbytes = (nbits + 7) // 8
+    raw = draw(st.none() | st.binary(min_size=nbytes, max_size=nbytes + 3))
+    index = st.integers(0, nbits - 1)
+    goal = st.integers(0, nbits + 10)
+    op = st.one_of(
+        st.tuples(st.sampled_from(["set", "clear"]), index,
+                  st.integers(1, 8)),
+        st.tuples(st.just("find_free"), goal),
+        st.tuples(st.just("find_free_run"), st.integers(1, 10),
+                  st.integers(1, 8), goal),
+        st.tuples(st.just("find_frag_run"), st.integers(1, fpb)),
+    )
+    return nbits, fpb, raw, draw(st.lists(op, max_size=40))
+
+
+def _observe(bitmap):
+    return (
+        [bitmap.test(i) for i in range(bitmap.nbits)],
+        bitmap.free_count,
+        bitmap.pack(),
+    )
+
+
+class TestByteOracle:
+    """The integer-mask bitmap against the byte-array one it replaced."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(case=_bitmap_case())
+    def test_random_ops_match_byte_oracle(self, case):
+        nbits, fpb, raw, ops = case
+        fast = Bitmap(nbits, raw)
+        slow = ByteBitmap(nbits, raw)
+        assert _observe(fast) == _observe(slow)
+        for step, (name, *args) in enumerate(ops):
+            if name in ("set", "clear"):
+                # The oracle has no run length: apply the run bit by bit.
+                index, count = args
+                count = min(count, nbits - index)
+                getattr(fast, name)(index, count)
+                for k in range(count):
+                    getattr(slow, name)(index + k)
+            elif name == "find_frag_run":
+                found = fast.find_frag_run(args[0], fpb)
+                assert found == slow.find_frag_run(args[0], fpb), step
+                if found is not None:  # allocate it, as UFSAllocator does
+                    fast.set(found, args[0])
+                    for k in range(args[0]):
+                        slow.set(found + k)
+            else:
+                assert getattr(fast, name)(*args) == getattr(slow, name)(
+                    *args
+                ), (step, name, args)
+            assert _observe(fast) == _observe(slow), (step, name, args)
